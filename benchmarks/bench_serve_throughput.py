@@ -91,7 +91,6 @@ from repro.serve import (
     ShardCluster,
     ShardRouter,
     proto,
-    start_front_server,
     start_tcp_server,
 )
 
@@ -869,7 +868,7 @@ async def run_shard_topology(
     entirely through fail-over to the surviving replicas.
     """
     router = ShardRouter.from_cluster(cluster)
-    server = await start_front_server(router)
+    server = await start_tcp_server(router)
     port = server.sockets[0].getsockname()[1]
     try:
         await wire_bit_identity("127.0.0.1", port, headers, expected)

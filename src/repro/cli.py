@@ -497,11 +497,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Builds the classifier for the selected dataset/snapshot, wires a
     :class:`repro.obs.Recorder` (so the ``metrics`` op reports live
-    ``serve`` counters), and serves newline-JSON requests until
-    interrupted.  See ``docs/serving.md`` for the wire protocol and the
-    batching/backpressure knobs.
+    ``serve`` counters), and serves both wire protocols until
+    interrupted.  SIGTERM unwinds like Ctrl-C, so worker and replica
+    processes are stopped with the server.  See ``docs/serving.md`` for
+    the wire protocol and the batching/backpressure knobs.
     """
     import asyncio
+    import signal
 
     from . import config
     from .obs import Recorder
@@ -513,126 +515,100 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serve_workers = config.serve_workers(args.serve_workers)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
+    if args.shards > 0 and serve_workers > 1:
+        raise CLIError("--shards and --serve-workers are exclusive")
     classifier = _build(args)
-    if args.shards > 0:
-        if serve_workers > 1:
-            raise CLIError("--shards and --serve-workers are exclusive")
-        return _serve_sharded(args, classifier)
-    if serve_workers > 1:
-        return _serve_multi(args, classifier, serve_workers)
-    recorder = Recorder()
-    service = QueryService(
-        classifier,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
-        queue_limit=args.queue_limit,
-        overflow=args.overflow,
-        timeout_s=args.timeout_ms / 1e3 if args.timeout_ms else None,
-        recorder=recorder,
-        backend=args.engine,
-        cache_size=args.cache_size,
-    )
+    service_options = {
+        "max_batch": args.max_batch,
+        "max_delay_s": args.max_delay_ms / 1e3,
+        "queue_limit": args.queue_limit,
+        "overflow": args.overflow,
+        "timeout_s": args.timeout_ms / 1e3 if args.timeout_ms else None,
+        "cache_size": args.cache_size,
+    }
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        asyncio.run(serve_forever(service, args.host, args.port))
+        if args.shards > 0 or serve_workers > 1:
+            _serve_grid(args, classifier, serve_workers, service_options)
+        else:
+            service = QueryService(
+                classifier,
+                recorder=Recorder(),
+                backend=args.engine,
+                **service_options,
+            )
+            asyncio.run(serve_forever(service, args.host, args.port))
     except KeyboardInterrupt:
         print("interrupted; shutting down")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 
-def _serve_multi(
-    args: argparse.Namespace, classifier: APClassifier, serve_workers: int
-) -> int:
-    """``serve --serve-workers N``: the shared-memory worker pool."""
+def _serve_grid(
+    args: argparse.Namespace,
+    classifier: APClassifier,
+    serve_workers: int,
+    service_options: dict,
+) -> None:
+    """``serve --serve-workers N`` or ``--shards N [--replicas R]``.
+
+    Both run a process grid over shared-memory artifacts: N workers on
+    one ``SO_REUSEPORT`` port, or an ``N x R`` grid of shard-slice
+    replicas behind a router served on the same TCP front end as
+    single-node serving.  The bound address is announced as one JSON
+    line on stdout.
+    """
+    import asyncio
     import time
 
     from .artifact import ArtifactError
-    from .serve import ServeWorkerPool
-
-    try:
-        pool = ServeWorkerPool(
-            classifier,
-            workers=serve_workers,
-            host=args.host,
-            port=args.port,
-            backend=args.engine,
-            service_options={
-                "max_batch": args.max_batch,
-                "max_delay_s": args.max_delay_ms / 1e3,
-                "queue_limit": args.queue_limit,
-                "overflow": args.overflow,
-                "timeout_s": args.timeout_ms / 1e3 if args.timeout_ms else None,
-                "cache_size": args.cache_size,
-            },
-        )
-    except ArtifactError as exc:
-        raise CLIError(f"cannot build serving artifact: {exc}") from exc
-    try:
-        port = pool.start()
-    except (RuntimeError, OSError) as exc:
-        raise CLIError(f"cannot start serve workers: {exc}") from exc
-    print(json.dumps({
-        "listening": [args.host, port],
-        "workers": pool.workers,
-        "protocols": ["framed", "json"],
-    }), flush=True)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        print("interrupted; shutting down")
-    finally:
-        pool.stop()
-    return 0
-
-
-def _serve_sharded(args: argparse.Namespace, classifier: APClassifier) -> int:
-    """``serve --shards N [--replicas R]``: router + shard backends.
-
-    Spawns an ``N x R`` grid of replica processes each serving its
-    shard's slice artifact out of shared memory, then runs the framed +
-    newline-JSON front tier routing over the AP Tree prefix.  The bound
-    front address is announced as one JSON line on stdout.
-    """
-    import asyncio
-
-    from .artifact import ArtifactError
     from .obs import Recorder
-    from .serve import ShardCluster, ShardRouter, serve_front_forever
+    from .serve import ServeWorkerPool, ShardCluster, ShardRouter, serve_forever
+    from .serve.tcp import announce_listening
 
-    if args.replicas < 1:
+    if args.shards > 0 and args.replicas < 1:
         raise CLIError("--replicas must be >= 1")
-    recorder = Recorder()
     try:
-        cluster = ShardCluster(
-            classifier,
-            shards=args.shards,
-            replicas=args.replicas,
-            depth=args.shard_depth,
-            host="127.0.0.1",
-            backend=args.engine,
-            recorder=recorder,
-        )
+        if args.shards > 0:
+            grid = ShardCluster(
+                classifier,
+                shards=args.shards,
+                replicas=args.replicas,
+                depth=args.shard_depth,
+                host="127.0.0.1",
+                backend=args.engine,
+                recorder=Recorder(),
+            )
+        else:
+            grid = ServeWorkerPool(
+                classifier,
+                workers=serve_workers,
+                host=args.host,
+                port=args.port,
+                backend=args.engine,
+                service_options=service_options,
+            )
     except (ArtifactError, ValueError) as exc:
-        raise CLIError(f"cannot build shard slices: {exc}") from exc
+        raise CLIError(f"cannot build serving artifacts: {exc}") from exc
     try:
-        cluster.start()
+        grid.start()
     except (RuntimeError, OSError) as exc:
-        raise CLIError(f"cannot start shard replicas: {exc}") from exc
+        raise CLIError(f"cannot start {grid.role}s: {exc}") from exc
 
-    async def _run() -> None:
-        router = ShardRouter.from_cluster(cluster)
-        try:
-            await serve_front_forever(router, args.host, args.port)
-        finally:
-            await router.close()
+    async def _front() -> None:
+        router = ShardRouter.from_cluster(grid)
+        await serve_forever(router, args.host, args.port, mode="shard-router")
 
     try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("interrupted; shutting down")
+        if args.shards > 0:
+            asyncio.run(_front())
+        else:
+            announce_listening((args.host, grid.port), workers=grid.workers)
+            while True:
+                time.sleep(3600)
     finally:
-        cluster.stop()
-    return 0
+        grid.stop()
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:

@@ -12,12 +12,7 @@ operations guide and the TCP wire protocol.
 
 from .cache import ResultCache
 from .service import QueryService, QueryShed, ServiceClosed
-from .shard import (
-    ShardCluster,
-    ShardRouter,
-    serve_front_forever,
-    start_front_server,
-)
+from .shard import ShardCluster, ShardRouter
 from .tcp import serve_forever, start_tcp_server
 from .workers import ServeWorkerPool, closed_loop_qps
 
@@ -31,7 +26,5 @@ __all__ = [
     "ShardRouter",
     "closed_loop_qps",
     "serve_forever",
-    "serve_front_forever",
-    "start_front_server",
     "start_tcp_server",
 ]

@@ -59,6 +59,7 @@ timeouts, p50/p99 service latency, swaps) lands in
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
 import time
 from collections import deque
@@ -415,23 +416,11 @@ class QueryService:
         array straight off the wire, which reaches the array kernel
         with zero per-header Python work.
         """
-        dispatcher = self._dispatcher
-        if dispatcher is None or dispatcher.done():
+        if not self.running:
             raise ServiceClosed("service is not running")
         started = time.perf_counter()
         async with self._swap_lock.read():
-            if _np is None:
-                atoms = self.classifier.classify_batch(list(headers))
-            else:
-                n = len(headers)
-                out = self._batch_out
-                if out is None or out.shape[0] < n:
-                    out = self._batch_out = _np.empty(
-                        max(self.max_batch, n), dtype=_np.int64
-                    )
-                atoms = self.classifier.classify_batch_array(
-                    headers, out=out[:n]
-                ).tolist()
+            atoms = self._classify_headers(self.classifier, headers)
         self.counters.record_frame(len(atoms), time.perf_counter() - started)
         return atoms
 
@@ -697,7 +686,7 @@ class QueryService:
         results plain Python ints (JSON-safe for the TCP front-end).
         """
         if _np is None:
-            return classifier.classify_batch(headers)
+            return classifier.classify_batch(list(headers))
         n = len(headers)
         out = self._batch_out
         if out is None or out.shape[0] < n:
@@ -858,37 +847,9 @@ class QueryService:
         """Diff the live generation against another one (strict JSON).
 
         ``other`` is a loaded :class:`APClassifier` or a path to a saved
-        artifact/snapshot.  The live side is snapshotted under the swap
-        lock (one consistent generation) and the sweep runs on a private
-        replica in the default executor, so serving latency sees only
-        the snapshot cost -- never the BDD intersections.
+        artifact/snapshot, loaded in the executor thread.
         """
-        if not self.running:
-            raise ServiceClosed("service is not running")
-        async with self._swap_lock.read():
-            snapshot = self._live_snapshot_json()
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self._diff_worker, snapshot, other, ingress_box, limit
-        )
-
-    def _diff_worker(
-        self, snapshot: str, other, ingress_box: str, limit: int | None
-    ) -> dict:
-        """Executor-thread half of :meth:`diff_generation`."""
-        from .. import persist
-        from ..diff import diff_generations
-
-        live = persist.classifier_from_json(snapshot)
-        after = (
-            other
-            if isinstance(other, APClassifier)
-            else persist.load(other)
-        )
-        report = diff_generations(
-            live, after, ingress_box, recorder=self.recorder
-        )
-        return report.to_json(limit)
+        return await self._report(_diff_report, other, ingress_box, limit=limit)
 
     async def what_if(
         self,
@@ -909,40 +870,44 @@ class QueryService:
         """
         if not self.running:
             raise ServiceClosed("service is not running")
-        from ..diff import parse_rule_spec
+        from .. import diff
 
         layout = self.classifier.dataplane.layout
-        add = [
-            parse_rule_spec(entry, layout) if isinstance(entry, str) else entry
-            for entry in add
-        ]
-        remove = [
-            parse_rule_spec(entry, layout) if isinstance(entry, str) else entry
-            for entry in remove
-        ]
+
+        def parsed(entries) -> list:
+            return [
+                diff.parse_rule_spec(e, layout) if isinstance(e, str) else e
+                for e in entries
+            ]
+
+        work = functools.partial(
+            diff.what_if, add=parsed(add), remove=parsed(remove)
+        )
+        return await self._report(work, ingress_box, limit=limit)
+
+    async def _report(self, work, *args, limit: int | None) -> dict:
+        """``work(live, *args, recorder=...)`` on a private replica.
+
+        The live side is snapshotted under the swap lock (one consistent
+        generation) and restored, swept and reported in the default
+        executor, so serving latency sees only the snapshot cost --
+        never the BDD intersections.
+        """
+        if not self.running:
+            raise ServiceClosed("service is not running")
         async with self._swap_lock.read():
             snapshot = self._live_snapshot_json()
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            None, self._what_if_worker, snapshot, add, remove, ingress_box, limit
+            None, self._report_worker, work, snapshot, args, limit
         )
 
-    def _what_if_worker(
-        self, snapshot: str, add, remove, ingress_box: str, limit: int | None
-    ) -> dict:
-        """Executor-thread half of :meth:`what_if`."""
+    def _report_worker(self, work, snapshot: str, args, limit) -> dict:
+        """Executor-thread half of :meth:`_report`."""
         from .. import persist
-        from ..diff import what_if
 
         live = persist.classifier_from_json(snapshot)
-        report = what_if(
-            live,
-            ingress_box,
-            add=add,
-            remove=remove,
-            recorder=self.recorder,
-        )
-        return report.to_json(limit)
+        return work(live, *args, recorder=self.recorder).to_json(limit)
 
     # ------------------------------------------------------------------
     # Reconstruction (Section VI-B, served live)
@@ -1052,6 +1017,15 @@ class QueryService:
             f"queue={len(self._queue)}/{self.queue_limit}, "
             f"overflow={self.overflow!r})"
         )
+
+
+def _diff_report(live, other, ingress_box: str, *, recorder):
+    """The generation diff of ``live`` against ``other`` (or its path)."""
+    from .. import persist
+    from ..diff import diff_generations
+
+    after = other if isinstance(other, APClassifier) else persist.load(other)
+    return diff_generations(live, after, ingress_box, recorder=recorder)
 
 
 def _rebuild_isolated(pids: list[int], dumped: str, strategy: str) -> dict:

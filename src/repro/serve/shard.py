@@ -12,10 +12,10 @@ bit-identical to the single-node classifier.
 
 Topology (``--shards 2 --replicas 2``)::
 
-    client -> front server -> ShardRouter --+--> shard 0 replica a
-              (framed or JSON)              |      shard 0 replica b
-                                            +--> shard 1 replica a
-                                                 shard 1 replica b
+    client -> TCP front end -> ShardRouter --+--> shard 0 replica a
+              (framed or JSON)               |      shard 0 replica b
+                                             +--> shard 1 replica a
+                                                  shard 1 replica b
 
 * each shard is replicated ``R`` ways; every replica of a shard maps
   the *same* shared-memory slice blob.  The router keeps a persistent
@@ -25,24 +25,19 @@ Topology (``--shards 2 --replicas 2``)::
   ``SHARD_CLASSIFY`` frame carries a whole routed sub-batch in the
   kernel's word-packed form, so a replica classifies straight off the
   wire bytes;
-* generation handoff extends the multi-worker publish protocol
-  cluster-wide: the parent writes every shard's new slice into fresh
-  shared memory and sends ``prepare``; replicas attach, load, and ack
-  while still answering the old generation; only after **every**
-  replica acked does the router flip its routing tables -- a plain
-  in-loop assignment, atomic with respect to batches -- and each
-  ``SHARD_CLASSIFY`` frame carries the generation it was routed under,
-  answered strictly from that generation.  Replicas keep the last two
-  generations mapped until ``commit``, so in-flight frames tagged with
-  the previous generation still answer and no batch ever mixes
-  generations.
+* the replicas are a :class:`~repro.serve.grid.ProcessGrid`, and the
+  front is the :mod:`repro.serve.tcp` front end with the router as its
+  backend;
+* generation handoff is the grid's ack'd prepare/commit protocol, with
+  the router flip between them: each ``SHARD_CLASSIFY`` frame carries
+  the generation it was routed under and is answered strictly from
+  it, and replicas keep the previous generation mapped until the next
+  commit, so no batch ever mixes generations.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import multiprocessing
 import os
 import time
 
@@ -50,7 +45,8 @@ from .. import config
 from ..artifact import load_shard_buffer, make_shard_plan, shard_artifact_bytes
 from ..obs.recorder import ServeCounters
 from . import proto
-from .workers import CONTROL_TIMEOUT_S, _Generation
+from .grid import Member, ProcessGrid
+from .tcp import close_writer
 
 try:  # pragma: no cover - exercised via the CI matrix
     if config.numpy_disabled():
@@ -69,8 +65,6 @@ __all__ = [
     "ROUTER_TIMEOUT_S",
     "ShardCluster",
     "ShardRouter",
-    "serve_front_forever",
-    "start_front_server",
 ]
 
 #: Per-attempt deadline for one routed sub-batch; a dead replica's
@@ -85,185 +79,61 @@ _RETRYABLE = (ConnectionError, OSError, asyncio.IncompleteReadError,
 
 
 # ----------------------------------------------------------------------
-# Replica process (one shard slice, framed protocol only)
+# Replica backend (one shard slice, served by the process grid)
 # ----------------------------------------------------------------------
 
 
-def _load_slice(shm_name: str, backend: str | None):
-    """(generation-block, serving) restored from a shared-memory slice."""
-    block = _Generation(shm_name)
-    serving = load_shard_buffer(
-        block.shm.buf, backend=backend, source=f"shm:{shm_name}"
-    )
-    return block, serving
+class _SliceBackend:
+    """What a replica serves: ``SHARD_CLASSIFY`` against the generation
+    each frame was routed under, plus ``ping``/``metrics``.
+
+    ``generations`` maps generation id -> ``(shm, ShardServing)``;
+    the process grid adds a generation at ``prepare`` and retires the
+    ones older than its predecessor at ``commit``.
+    """
+
+    def __init__(self, generations: dict, _engine, _options) -> None:
+        self.generations = generations
+        self.counters = ServeCounters()
+
+    async def classify_shard(self, frame) -> tuple:
+        gen, frontiers, headers, _width = frame
+        entry = self.generations.get(gen)
+        if entry is None:
+            raise proto.FrameError(
+                f"unknown generation {gen} (have {sorted(self.generations)})"
+            )
+        serving = entry[1]
+        if _np is not None:
+            atoms = serving.classify_batch_array(frontiers, headers)
+        else:
+            atoms = serving.classify_batch(list(frontiers), headers)
+        self.counters.served += len(headers)
+        return gen, atoms
+
+    def metrics(self) -> dict:
+        newest = self.generations[max(self.generations)][1]
+        return {
+            "shard": newest.shard_id,
+            "shards": newest.shards,
+            "generations": sorted(self.generations),
+            "served": self.counters.served,
+            "pid": os.getpid(),
+        }
+
+    async def adopt_generation(self, _serving) -> None:
+        """Nothing to swap: frames pick their generation themselves."""
+
+    async def __aenter__(self) -> "_SliceBackend":
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        """Nothing to stop: the grid unmaps the generations."""
 
 
-async def _replica_connection(state: dict, reader, writer) -> None:
-    """One framed client (normally the router) against this replica."""
-    generations = state["generations"]
-    try:
-        while True:
-            try:
-                ftype, payload = await proto.read_frame(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                break
-            except proto.FrameError as exc:
-                # Desynchronized stream: report once, then drop it.
-                writer.write(proto.pack_frame(proto.ERROR, str(exc).encode()))
-                await writer.drain()
-                break
-            try:
-                if ftype == proto.PING:
-                    response = proto.pack_frame(proto.PONG)
-                elif ftype == proto.SHARD_CLASSIFY:
-                    gen, frontiers, headers, _w = proto.decode_shard_classify(
-                        payload
-                    )
-                    entry = generations.get(gen)
-                    if entry is None:
-                        raise proto.FrameError(
-                            f"unknown generation {gen} "
-                            f"(have {sorted(generations)})"
-                        )
-                    serving = entry[1]
-                    if _np is not None:
-                        atoms = serving.classify_batch_array(frontiers, headers)
-                    else:
-                        atoms = serving.classify_batch(
-                            list(frontiers), headers
-                        )
-                    state["served"] += len(headers)
-                    response = proto.pack_frame(
-                        proto.SHARD_RESULT, proto.encode_shard_result(gen, atoms)
-                    )
-                elif ftype == proto.METRICS:
-                    newest = max(generations)
-                    info = {
-                        "shard": generations[newest][1].shard_id,
-                        "shards": generations[newest][1].shards,
-                        "generations": sorted(generations),
-                        "served": state["served"],
-                        "pid": os.getpid(),
-                    }
-                    response = proto.pack_frame(
-                        proto.METRICS_RESULT,
-                        json.dumps(info, allow_nan=False).encode(),
-                    )
-                else:
-                    raise proto.FrameError(
-                        f"unsupported frame type {ftype:#04x}"
-                    )
-            except (proto.FrameError, KeyError, ValueError) as exc:
-                # Per-frame contract: answer ERROR, keep the connection.
-                response = proto.pack_frame(
-                    proto.ERROR, (str(exc) or repr(exc)).encode()
-                )
-            writer.write(response)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                break
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def _replica_serve(conn, shm_name: str, host: str,
-                         options: dict) -> None:
-    backend = options.pop("backend", None)
-    block, serving = _load_slice(shm_name, backend)
-    # generation id -> (shm block, ShardServing); answers are strictly
-    # by the generation a frame was routed under.
-    state: dict = {"generations": {0: (block, serving)}, "served": 0}
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    control: asyncio.Queue[tuple] = asyncio.Queue()
-
-    def on_control() -> None:
-        while conn.poll():
-            try:
-                message = conn.recv()
-            except EOFError:
-                stop.set()
-                return
-            if message[0] == "stop":
-                stop.set()
-            else:
-                control.put_nowait(message)
-
-    async def control_loop() -> None:
-        generations = state["generations"]
-        while True:
-            message = await control.get()
-            if message[0] == "prepare":
-                _tag, gen, name = message
-                try:
-                    generations[gen] = _load_slice(name, backend)
-                except Exception as exc:
-                    conn.send(
-                        ("prepare_failed", gen,
-                         f"{type(exc).__name__}: {exc}")
-                    )
-                    continue
-                conn.send(("prepared", gen))
-            elif message[0] == "commit":
-                gen = message[1]
-                # Keep the committed generation and its predecessor:
-                # frames routed just before the flip may still arrive.
-                for old in [g for g in generations if g < gen - 1]:
-                    old_block, _serving = generations.pop(old)
-                    old_block.close()
-                conn.send(("committed", gen))
-
-    active: set = set()
-
-    async def handler(reader, writer) -> None:
-        active.add(writer)
-        try:
-            await _replica_connection(state, reader, writer)
-        finally:
-            active.discard(writer)
-
-    server = await asyncio.start_server(handler, host, 0)
-    port = server.sockets[0].getsockname()[1]
-    controller = loop.create_task(control_loop())
-    loop.add_reader(conn.fileno(), on_control)
-    conn.send(("ready", os.getpid(), port))
-    try:
-        await stop.wait()
-    finally:
-        loop.remove_reader(conn.fileno())
-        controller.cancel()
-        server.close()
-        await server.wait_closed()
-        for writer in list(active):
-            writer.close()
-        for _ in range(100):
-            if not active:
-                break
-            await asyncio.sleep(0.01)
-    try:
-        conn.send(("stopped", state["served"]))
-    except (BrokenPipeError, OSError):
-        pass
-    conn.close()
-    generations = state.pop("generations")
-    del serving
-    for gen in list(generations):
-        gen_block, gen_serving = generations.pop(gen)
-        del gen_serving
-        gen_block.close()
-
-
-def _replica_main(conn, shm_name: str, host: str, options: dict) -> None:
-    """Process entry point; module-level so every start method works."""
-    try:
-        asyncio.run(_replica_serve(conn, shm_name, host, options))
-    except KeyboardInterrupt:
-        pass
+#: Replicas keep the committed generation and its predecessor: frames
+#: routed just before the router flip may still arrive.
+_REPLICA = Member(load=load_shard_buffer, open=_SliceBackend, keep=2)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +141,7 @@ def _replica_main(conn, shm_name: str, host: str, options: dict) -> None:
 # ----------------------------------------------------------------------
 
 
-class ShardCluster:
+class ShardCluster(ProcessGrid):
     """Spawn and publish to a shard x replica grid of serving processes.
 
     Usage::
@@ -283,11 +153,11 @@ class ShardCluster:
         cluster.publish(new_classifier, router=router)   # ack'd handoff
         cluster.stop()
 
-    The controller is synchronous like :class:`ServeWorkerPool` (it runs
-    in the CLI process or a benchmark driver); :meth:`publish_async` is
-    the in-event-loop variant that keeps the router flip atomic with
-    respect to running batches.
+    :meth:`publish_async` is the in-event-loop variant that keeps the
+    router flip atomic with respect to running batches.
     """
+
+    role = "shard replica"
 
     def __init__(
         self,
@@ -303,87 +173,26 @@ class ShardCluster:
     ) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
+        super().__init__(
+            replicas=replicas, host=host, backend=backend,
+            start_method=start_method, recorder=recorder,
+        )
         self.plan = make_shard_plan(
             classifier, shards, depth=depth, backend=backend
         )
         self.shards = self.plan.shards
-        self.replicas = replicas
-        self.host = host
-        self.backend = backend
-        self.start_method = config.mp_start(start_method)
-        self.recorder = recorder
-        self.generation = 0
         self._depth = depth
-        self._blobs: list[bytes] | None = [
-            shard_artifact_bytes(classifier, self.plan, s, backend=backend)
-            for s in range(self.shards)
+        self._blobs = self._slices(classifier, self.plan)
+
+    def _slices(self, classifier, plan) -> list[bytes]:
+        return [
+            shard_artifact_bytes(classifier, plan, s, backend=self.backend)
+            for s in range(plan.shards)
         ]
-        self._blocks: list = []
-        self._processes: list[list] = []
-        self._conns: list[list] = []
-        #: ``endpoints[shard]`` -> list of ``(host, port)`` per replica.
-        self.endpoints: list[list[tuple[str, int]]] = []
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _new_block(blob: bytes):
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=len(blob))
-        shm.buf[: len(blob)] = blob
-        return shm
-
-    def _expect(self, conn, kinds: tuple[str, ...], what: str):
-        if not conn.poll(CONTROL_TIMEOUT_S):
-            raise RuntimeError(f"shard replica did not answer ({what})")
-        try:
-            message = conn.recv()
-        except EOFError:
-            raise RuntimeError(f"shard replica died during {what}") from None
-        if message[0] not in kinds:
-            raise RuntimeError(f"shard replica failed during {what}: {message}")
-        return message
 
     def start(self) -> list[list[tuple[str, int]]]:
         """Spawn the grid; returns ``endpoints`` once every replica listens."""
-        if self._processes:
-            raise RuntimeError("cluster already started")
-        blobs, self._blobs = self._blobs, None
-        if blobs is None:
-            raise RuntimeError("cluster was stopped; build a new one")
-        self._blocks = [self._new_block(blob) for blob in blobs]
-        context = multiprocessing.get_context(self.start_method)
-        try:
-            for shard in range(self.shards):
-                procs, conns = [], []
-                for _replica in range(self.replicas):
-                    parent_conn, child_conn = context.Pipe()
-                    process = context.Process(
-                        target=_replica_main,
-                        args=(
-                            child_conn,
-                            self._blocks[shard].name,
-                            self.host,
-                            {"backend": self.backend},
-                        ),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    procs.append(process)
-                    conns.append(parent_conn)
-                self._processes.append(procs)
-                self._conns.append(conns)
-            for shard in range(self.shards):
-                ports = []
-                for conn in self._conns[shard]:
-                    message = self._expect(conn, ("ready",), "startup")
-                    ports.append((self.host, message[2]))
-                self.endpoints.append(ports)
-        except BaseException:
-            self.stop()
-            raise
+        self._spawn(_REPLICA, 0, {})
         if self.recorder is not None:
             self.recorder.serve.shard_shards = self.shards
             self.recorder.serve.shard_replicas = self.replicas
@@ -399,76 +208,19 @@ class ShardCluster:
         pending-generation handle for :meth:`commit`.  Replicas keep
         answering the old generation throughout.
         """
-        if not self._processes:
-            raise RuntimeError("cluster is not running")
-        started = time.perf_counter()
-        generation = self.generation + 1
         plan = make_shard_plan(
             classifier, self.shards, depth=self._depth, backend=self.backend
         )
-        blocks = [
-            self._new_block(
-                shard_artifact_bytes(classifier, plan, s, backend=self.backend)
-            )
-            for s in range(self.shards)
-        ]
-        try:
-            for shard in range(self.shards):
-                for conn in self._conns[shard]:
-                    conn.send(("prepare", generation, blocks[shard].name))
-            failures = []
-            for conns in self._conns:
-                for conn in conns:
-                    message = self._expect(
-                        conn, ("prepared", "prepare_failed"),
-                        "generation prepare",
-                    )
-                    if message[0] == "prepare_failed":
-                        failures.append(message[2])
-            if failures:
-                raise RuntimeError(
-                    f"generation prepare failed in {len(failures)} "
-                    f"replica(s): {failures[0]}"
-                )
-        except BaseException:
-            for block in blocks:
-                block.close()
-                try:
-                    block.unlink()
-                except FileNotFoundError:
-                    pass
-            raise
-        return {
-            "generation": generation,
-            "plan": plan,
-            "blocks": blocks,
-            "started": started,
-        }
+        pending = self._prepare(self._slices(classifier, plan))
+        pending["plan"] = plan
+        return pending
 
     def commit(self, pending: dict) -> None:
         """Finish a handoff: replicas retire generations older than
         ``gen - 1`` and the previous shared-memory blocks are unlinked.
         Call only after the router flipped to ``pending``."""
-        generation = pending["generation"]
-        for conns in self._conns:
-            for conn in conns:
-                conn.send(("commit", generation))
-        for conns in self._conns:
-            for conn in conns:
-                self._expect(conn, ("committed",), "generation commit")
-        old = self._blocks
-        self._blocks = pending["blocks"]
+        self._commit(pending)
         self.plan = pending["plan"]
-        self.generation = generation
-        for block in old:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:
-                pass
-        elapsed = time.perf_counter() - pending["started"]
-        if self.recorder is not None:
-            self.recorder.serve.record_handoff(elapsed)
 
     def publish(self, classifier, router: "ShardRouter | None" = None) -> int:
         """Full ack'd handoff from synchronous code; returns the new
@@ -494,49 +246,6 @@ class ShardCluster:
         router.flip(pending["plan"], pending["generation"])
         await loop.run_in_executor(None, self.commit, pending)
         return pending["generation"]
-
-    # -- fault injection / shutdown ------------------------------------
-
-    def kill_replica(self, shard: int, replica: int) -> None:
-        """Hard-kill one replica process (fail-over testing)."""
-        process = self._processes[shard][replica]
-        process.terminate()
-        process.join(timeout=5)
-
-    def stop(self) -> None:
-        """Stop every replica and release OS resources. Idempotent."""
-        for conns in self._conns:
-            for conn in conns:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for procs in self._processes:
-            for process in procs:
-                process.join(timeout=CONTROL_TIMEOUT_S)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5)
-        for conns in self._conns:
-            for conn in conns:
-                conn.close()
-        self._processes = []
-        self._conns = []
-        self.endpoints = []
-        for block in self._blocks:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:
-                pass
-        self._blocks = []
-
-    def __enter__(self) -> "ShardCluster":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 # ----------------------------------------------------------------------
@@ -578,11 +287,7 @@ class _ReplicaConn:
     async def close(self) -> None:
         writer, self._reader, self._writer = self._writer, None, None
         if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_writer(writer)
 
 
 class ShardRouter:
@@ -705,6 +410,9 @@ class ShardRouter:
         self.counters.record_frame(n, time.perf_counter() - started)
         return atoms
 
+    #: The TCP front end's framed ``CLASSIFY`` op (see :mod:`.tcp`).
+    classify_frame = classify_batch
+
     async def classify(self, header: int) -> int:
         return (await self.classify_batch([header]))[0]
 
@@ -767,160 +475,8 @@ class ShardRouter:
             for conn in group:
                 await conn.close()
 
+    async def __aenter__(self) -> "ShardRouter":
+        return self
 
-# ----------------------------------------------------------------------
-# Front server (framed + newline-JSON shim, one port)
-# ----------------------------------------------------------------------
-
-
-async def _front_framed(router: ShardRouter, reader, writer) -> None:
-    """Framed loop; the leading magic byte was consumed by the peek."""
-    first = True
-    while True:
-        try:
-            if first:
-                ftype, payload = await proto.read_rest_of_frame(reader)
-                first = False
-            else:
-                ftype, payload = await proto.read_frame(reader)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return
-        except proto.FrameError as exc:
-            writer.write(proto.pack_frame(proto.ERROR, str(exc).encode()))
-            await writer.drain()
-            return
-        try:
-            if ftype == proto.PING:
-                response = proto.pack_frame(proto.PONG)
-            elif ftype == proto.CLASSIFY:
-                headers, _width = proto.decode_classify(payload)
-                atoms = await router.classify_batch(headers)
-                response = proto.pack_frame(
-                    proto.RESULT, proto.encode_result(atoms)
-                )
-            elif ftype == proto.METRICS:
-                response = proto.pack_frame(
-                    proto.METRICS_RESULT,
-                    json.dumps(router.metrics(), allow_nan=False).encode(),
-                )
-            else:
-                raise proto.FrameError(f"unsupported frame type {ftype:#04x}")
-        except (proto.FrameError, proto.RemoteError, ConnectionError,
-                ValueError) as exc:
-            response = proto.pack_frame(
-                proto.ERROR, (str(exc) or repr(exc)).encode()
-            )
-        writer.write(response)
-        try:
-            await writer.drain()
-        except ConnectionError:
-            return
-
-
-async def _front_json(router: ShardRouter, reader, writer,
-                      initial: bytes) -> None:
-    """Newline-JSON compat shim: ping / classify-by-header / metrics.
-
-    The full JSON API (packet objects, behavior queries) lives on the
-    single-node server; the front tier only classifies.
-    """
-    from .tcp import _read_line
-
-    pending = initial
-    while True:
-        try:
-            line, overflow = await _read_line(reader)
-        except (ConnectionError, OSError):
-            return
-        line = pending + line
-        pending = b""
-        if overflow:
-            writer.write(b'{"ok": false, "error": "request too large"}\n')
-            try:
-                await writer.drain()
-            except ConnectionError:
-                return
-            continue
-        if not line:
-            return
-        if not line.strip():
-            continue
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            op = request.get("op")
-            if op == "ping":
-                response = {"ok": True, "pong": True}
-            elif op == "metrics":
-                response = {"ok": True, "metrics": router.metrics()}
-            elif op == "classify":
-                header = request.get("header")
-                if not isinstance(header, int) or isinstance(header, bool):
-                    raise ValueError(
-                        "front-tier 'classify' needs an integer 'header'"
-                    )
-                atom = await router.classify(header)
-                response = {"ok": True, "atom": int(atom)}
-            else:
-                raise ValueError(f"unknown op {op!r}")
-        except Exception as exc:
-            response = {"ok": False, "error": str(exc) or repr(exc)}
-        writer.write((json.dumps(response, allow_nan=False) + "\n").encode())
-        try:
-            await writer.drain()
-        except ConnectionError:
-            return
-
-
-async def _front_connection(router: ShardRouter, reader, writer) -> None:
-    try:
-        first = await reader.read(1)
-        if not first:
-            return
-        if first[0] == proto.FRAME_MAGIC:
-            await _front_framed(router, reader, writer)
-        else:
-            await _front_json(router, reader, writer, first)
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def start_front_server(
-    router: ShardRouter, host: str = "127.0.0.1", port: int = 0
-) -> asyncio.AbstractServer:
-    """Bind the dual-protocol front endpoint; ``port=0`` picks a port."""
-    from .tcp import MAX_LINE_BYTES
-
-    handler = lambda reader, writer: _front_connection(router, reader, writer)
-    return await asyncio.start_server(handler, host, port, limit=MAX_LINE_BYTES)
-
-
-async def serve_front_forever(
-    router: ShardRouter, host: str, port: int, *, announce=None
-) -> None:
-    """``repro serve --shards`` driver: run the front tier until cancelled.
-
-    Announces the bound address as one machine-readable JSON line so
-    scripts (and tests) binding ``port=0`` can discover the port.
-    """
-    if announce is None:
-        from .tcp import _announce_line
-
-        announce = _announce_line
-    server = await start_front_server(router, host, port)
-    bound = server.sockets[0].getsockname()
-    announce(json.dumps({
-        "listening": [bound[0], bound[1]],
-        "mode": "shard-router",
-        "protocols": ["framed", "json"],
-    }))
-    try:
-        async with server:
-            await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
+    async def __aexit__(self, *exc_info) -> None:
+        await self.close()

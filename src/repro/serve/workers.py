@@ -2,188 +2,41 @@
 
 The compiled classifier is tiny (Section VII-B) and, persisted as a
 binary artifact, position-independent -- so N serving processes can map
-*one* read-only copy out of :mod:`multiprocessing.shared_memory` instead
-of each rebuilding (or even copying) it.  The pool gives ``repro serve
---serve-workers N`` its process-level parallelism:
-
-* the parent builds the artifact blob once (:func:`repro.artifact.
-  artifact_bytes`), places it in a ``SharedMemory`` block, and forks
-  workers that restore their classifier straight from the shared pages;
-* every worker binds its own ``SO_REUSEPORT`` listening socket on the
-  same address, so the kernel load-balances incoming TCP connections
-  across workers with no proxy in front;
-* generation handoff extends the single-process swap protocol
-  (:meth:`QueryService.adopt_generation`): the parent publishes a new
-  artifact generation into a fresh shared-memory block, signals each
-  worker over its control pipe, workers remap and swap behind their
-  swap locks and ack, and only then does the parent unlink the old
-  generation -- in-flight batches finish on the pages they started on.
-
-Workers run the same :class:`QueryService` + newline-JSON TCP front-end
-as single-process serving; clients cannot tell the difference except in
-aggregate throughput.
+*one* read-only copy out of shared memory instead of each rebuilding
+(or even copying) it.  :class:`ServeWorkerPool` is a ``1 x N``
+:class:`~repro.serve.grid.ProcessGrid`: every worker restores its
+:class:`QueryService` from the shared pages and binds its own
+``SO_REUSEPORT`` socket on one address, so the kernel load-balances
+connections with no proxy in front.  :meth:`ServeWorkerPool.publish`
+is the grid's ack'd handoff; each worker adopts the new generation
+behind its swap lock as it acks ``prepare``, so in-flight batches
+finish on the pages they started on.
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
-import multiprocessing
-import os
-import socket
 import time
-from multiprocessing import shared_memory
 
 from .. import config
 from ..artifact import artifact_bytes, load_artifact_buffer
+from .grid import Member, ProcessGrid, _reuseport_socket
+from .service import QueryService
+from .tcp import close_writer
 
 __all__ = ["ServeWorkerPool", "closed_loop_qps"]
 
-#: Seconds the parent waits for each worker's ready/ack/stopped message.
-CONTROL_TIMEOUT_S = 60.0
+
+def _open_service(generations: dict, engine, options: dict):
+    service = QueryService(generations[0][1], backend=engine, **options)
+    service.counters.workers = 1
+    return service
 
 
-def _reuseport_socket(host: str, port: int) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if hasattr(socket, "SO_REUSEPORT"):
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-    except BaseException:
-        sock.close()
-        raise
-    return sock
+_WORKER = Member(load=load_artifact_buffer, open=_open_service, keep=1)
 
 
-class _Generation:
-    """One attached shared-memory artifact generation (worker side).
-
-    Attaching re-registers the block with the resource tracker, but
-    multiprocessing children share the parent's tracker process under
-    every start method (the tracker fd travels with the spawn
-    preparation data), so the duplicate register is a set no-op and the
-    single unregister happens when the parent unlinks.  Never unregister
-    here: that would unbalance the shared cache.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.shm = shared_memory.SharedMemory(name=name)
-
-    def close(self) -> bool:
-        """Drop the mapping; ``False`` if buffers still pin the pages."""
-        gc.collect()  # drop dead classifier's views of shm.buf first
-        try:
-            self.shm.close()
-        except BufferError:
-            return False
-        return True
-
-
-def _load_generation(name: str, backend: str | None):
-    """(generation, classifier) restored from a shared-memory block."""
-    generation = _Generation(name)
-    classifier = load_artifact_buffer(
-        generation.shm.buf, backend=backend, source=f"shm:{name}"
-    )
-    return generation, classifier
-
-
-async def _worker_serve(conn, shm_name: str, host: str, port: int,
-                        options: dict) -> None:
-    from .service import QueryService
-    from .tcp import MAX_LINE_BYTES, _handle_connection
-
-    backend = options.pop("backend", None)
-    generation, classifier = _load_generation(shm_name, backend)
-    service = QueryService(classifier, backend=backend, **options)
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    # Adoptions are serialized through a queue: control messages arrive
-    # on the pipe reader callback (no awaits allowed there) and the
-    # consumer task below does the async swap work.
-    adoptions: asyncio.Queue[str] = asyncio.Queue()
-
-    def on_control() -> None:
-        while conn.poll():
-            message = conn.recv()
-            if message[0] == "stop":
-                stop.set()
-            elif message[0] == "adopt":
-                adoptions.put_nowait(message[1])
-
-    async def adopt_loop() -> None:
-        nonlocal generation
-        while True:
-            name = await adoptions.get()
-            old = generation
-            try:
-                generation, fresh = _load_generation(name, backend)
-                await service.adopt_generation(fresh)
-            except Exception as exc:
-                conn.send(("adopt_failed", name, f"{type(exc).__name__}: {exc}"))
-                continue
-            # The old generation's pages stay mapped until the last
-            # buffer view dies with the old classifier; a still-pinned
-            # mapping is only a deferred close, never a correctness
-            # problem (the parent waits for this ack before unlinking).
-            old.close()
-            conn.send(("adopted", name))
-
-    # Live client connections, tracked so shutdown can close them and
-    # let their handlers unwind on EOF -- cancelling a streams handler
-    # task makes 3.11's connection_made callback log spuriously.
-    active: set = set()
-
-    async def handler(reader, writer) -> None:
-        active.add(writer)
-        try:
-            await _handle_connection(service, reader, writer)
-        finally:
-            active.discard(writer)
-
-    async with service:
-        service.counters.workers = 1
-        sock = _reuseport_socket(host, port)
-        server = await asyncio.start_server(
-            handler, sock=sock, limit=MAX_LINE_BYTES
-        )
-        adopter = loop.create_task(adopt_loop())
-        loop.add_reader(conn.fileno(), on_control)
-        conn.send(("ready", os.getpid()))
-        try:
-            await stop.wait()
-        finally:
-            loop.remove_reader(conn.fileno())
-            adopter.cancel()
-            server.close()
-            await server.wait_closed()
-            for writer in list(active):
-                writer.close()
-            for _ in range(100):
-                if not active:
-                    break
-                await asyncio.sleep(0.01)
-    conn.send(("stopped", service.counters.served))
-    conn.close()
-    # Drop every reference into the shared pages before the interpreter
-    # tears down, so the mapping closes instead of tripping BufferError
-    # in SharedMemory.__del__ ("exported pointers exist").
-    service.classifier = None
-    del classifier
-    generation.close()
-
-
-def _worker_main(conn, shm_name: str, host: str, port: int,
-                 options: dict) -> None:
-    """Process entry point; module-level so every start method works."""
-    try:
-        asyncio.run(_worker_serve(conn, shm_name, host, port, options))
-    except KeyboardInterrupt:
-        pass
-
-
-class ServeWorkerPool:
+class ServeWorkerPool(ProcessGrid):
     """Parent-side controller for shared-memory serving workers.
 
     Usage::
@@ -195,10 +48,10 @@ class ServeWorkerPool:
         pool.stop()
 
     ``service_options`` passes through to each worker's
-    :class:`QueryService` (``max_batch``, ``overflow``, ...).  The pool
-    is synchronous on purpose: it runs in the CLI process (or a
-    benchmark driver), not inside an event loop.
+    :class:`QueryService` (``max_batch``, ``overflow``, ...).
     """
+
+    role = "serve worker"
 
     def __init__(
         self,
@@ -213,140 +66,39 @@ class ServeWorkerPool:
         recorder=None,
     ) -> None:
         self.workers = config.serve_workers(workers)
-        self.host = host
+        super().__init__(
+            replicas=self.workers, host=host, backend=backend,
+            start_method=start_method, recorder=recorder,
+        )
         self.port = port
-        self.backend = backend
         self.service_options = dict(service_options or {})
-        self.start_method = config.mp_start(start_method)
-        self.recorder = recorder
-        self._blob = artifact_bytes(classifier, backend=backend)
-        self._shm: shared_memory.SharedMemory | None = None
-        self._reserve: socket.socket | None = None
-        self._processes: list = []
-        self._conns: list = []
-        self._generations = 0
-
-    # ------------------------------------------------------------------
-
-    def _new_block(self, blob: bytes) -> shared_memory.SharedMemory:
-        shm = shared_memory.SharedMemory(create=True, size=len(blob))
-        shm.buf[: len(blob)] = blob
-        return shm
-
-    def _expect(self, conn, kinds: tuple[str, ...], what: str):
-        if not conn.poll(CONTROL_TIMEOUT_S):
-            raise RuntimeError(f"serve worker did not answer ({what})")
-        message = conn.recv()
-        if message[0] not in kinds:
-            raise RuntimeError(f"serve worker failed during {what}: {message}")
-        return message
+        self._blobs = [artifact_bytes(classifier, backend=backend)]
+        self._reserve = None
 
     def start(self) -> int:
         """Spawn the workers; returns the bound port once all listen."""
-        if self._processes:
+        if self._rows:
             raise RuntimeError("pool already started")
-        self._shm = self._new_block(self._blob)
-        self._blob = b""
         # Reserve the port in the parent (bound, never listening) so
         # port=0 resolves once and every worker binds the same number.
         self._reserve = _reuseport_socket(self.host, self.port)
         self.port = self._reserve.getsockname()[1]
-        context = multiprocessing.get_context(self.start_method)
-        try:
-            for _ in range(self.workers):
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=_worker_main,
-                    args=(
-                        child_conn,
-                        self._shm.name,
-                        self.host,
-                        self.port,
-                        {"backend": self.backend, **self.service_options},
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._processes.append(process)
-                self._conns.append(parent_conn)
-            for conn in self._conns:
-                self._expect(conn, ("ready",), "startup")
-        except BaseException:
-            self.stop()
-            raise
+        self._spawn(_WORKER, self.port, self.service_options)
         if self.recorder is not None:
             self.recorder.serve.workers = self.workers
-            self.recorder.serve.generations = self._generations
         return self.port
 
     def publish(self, classifier) -> None:
-        """Hand a new classifier generation to every worker (ack'd).
-
-        Writes the artifact blob into a fresh shared-memory block,
-        signals the workers, waits for every ``adopted`` ack, then
-        retires the previous generation's block.
-        """
-        if not self._processes:
-            raise RuntimeError("pool is not running")
+        """Hand a new classifier generation to every worker (ack'd)."""
         blob = artifact_bytes(classifier, backend=self.backend)
-        fresh = self._new_block(blob)
-        for conn in self._conns:
-            conn.send(("adopt", fresh.name))
-        failures = []
-        for conn in self._conns:
-            message = self._expect(
-                conn, ("adopted", "adopt_failed"), "generation handoff"
-            )
-            if message[0] == "adopt_failed":
-                failures.append(message[2])
-        if failures:
-            raise RuntimeError(
-                f"generation handoff failed in {len(failures)} worker(s): "
-                f"{failures[0]}"
-            )
-        old = self._shm
-        self._shm = fresh
-        self._generations += 1
-        if self.recorder is not None:
-            self.recorder.serve.generations = self._generations
-        if old is not None:
-            old.close()
-            old.unlink()
+        self._commit(self._prepare([blob]))
 
     def stop(self) -> None:
         """Stop workers and release every OS resource. Idempotent."""
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self._processes:
-            process.join(timeout=CONTROL_TIMEOUT_S)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-        for conn in self._conns:
-            conn.close()
-        self._processes = []
-        self._conns = []
+        super().stop()
         if self._reserve is not None:
             self._reserve.close()
             self._reserve = None
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-            self._shm = None
-
-    def __enter__(self) -> "ServeWorkerPool":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def closed_loop_qps(
@@ -378,11 +130,7 @@ def closed_loop_qps(
                     break
                 stats["responses"] += 1
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_writer(writer)
 
     async def _drive() -> dict:
         stats = {"responses": 0}

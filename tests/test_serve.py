@@ -17,7 +17,12 @@ import threading
 import pytest
 
 from repro.core.classifier import APClassifier
-from repro.datasets import internet2_like, toy_network, uniform_over_atoms
+from repro.datasets import (
+    internet2_like,
+    rule_update_stream,
+    toy_network,
+    uniform_over_atoms,
+)
 from repro.headerspace.fields import parse_ipv4
 from repro.network.rules import ForwardingRule, Match
 from repro.obs import Recorder, validate_snapshot
@@ -284,6 +289,15 @@ class TestDegradation:
 
     def test_queries_during_reconstruction_match_quiesced(self):
         classifier = APClassifier.build(internet2_like())
+        # Tombstone-maintained churn first, so the swap has something
+        # to shed (Section VI-A leaves removed atoms fragmented).
+        network = classifier.dataplane.network
+        for update in rule_update_stream(network, 30, random.Random(4)):
+            if update.kind == "insert":
+                classifier.insert_rule(update.box, update.rule)
+            else:
+                classifier.remove_rule(update.box, update.rule)
+        fragmented = classifier.universe.atom_count
         headers = sample_headers(classifier, 48)
         quiesced = {
             h: behavior_key(classifier.query(h, "SEAT")) for h in headers
@@ -319,6 +333,27 @@ class TestDegradation:
         for h, behavior in zip(headers, after):
             assert behavior_key(behavior) == quiesced[h]
         assert service.counters.swaps == 1
+        assert classifier.universe.atom_count <= fragmented
+
+    def test_swap_sheds_tombstones(self):
+        classifier = APClassifier.build(internet2_like(prefixes_per_router=2))
+        network = classifier.dataplane.network
+        for update in rule_update_stream(network, 30, random.Random(4)):
+            if update.kind == "insert":
+                classifier.insert_rule(update.box, update.rule)
+            else:
+                classifier.remove_rule(update.box, update.rule)
+        fragmented = classifier.universe.atom_count
+
+        async def scenario():
+            async with QueryService(classifier, max_delay_s=0) as service:
+                await service.reconstruct()
+            return service
+
+        service = run(scenario())
+        assert service.counters.swaps == 1
+        # The rebuilt universe has no removed-rule fragments left over.
+        assert classifier.universe.atom_count <= fragmented
 
     def test_updates_during_reconstruction_are_replayed(self):
         classifier = APClassifier.build(toy_network())

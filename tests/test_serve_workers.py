@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -146,6 +148,84 @@ class TestCLI:
                 process.wait(timeout=TIMEOUT_S)
 
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="needs /proc to list child processes"
+    )
+    @pytest.mark.parametrize(
+        "topology",
+        [["--serve-workers", "2"], ["--shards", "2"]],
+        ids=["workers", "shards"],
+    )
+    @pytest.mark.parametrize(
+        "signum, returncode",
+        [(signal.SIGTERM, 0), (signal.SIGKILL, -9)],
+        ids=["sigterm", "sigkill"],
+    )
+    def test_signal_stops_every_process(
+        self, topology, signum, returncode, tmp_path
+    ):
+        """SIGTERM unwinds `repro serve`, and even a SIGKILLed server
+        closes its members' control pipes: either way the announced port
+        refuses connections and no worker or replica outlives it."""
+        env = dict(os.environ, PYTHONPATH="src")
+        with open(tmp_path / "stderr.log", "wb") as log:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--dataset",
+                 "toy", "--port", "0", *topology],
+                stdout=subprocess.PIPE, stderr=log, env=env, text=True,
+            )
+        try:
+            host, port = json.loads(process.stdout.readline())["listening"]
+            assert ask(host, port, {"op": "ping"})["ok"] is True
+            children = _children(process.pid)
+            assert len(children) >= 2
+            process.send_signal(signum)
+            assert process.wait(timeout=TIMEOUT_S) == returncode
+            deadline = time.monotonic() + TIMEOUT_S
+            while time.monotonic() < deadline and (
+                _accepts(host, port) or any(map(_alive, children))
+            ):
+                time.sleep(0.1)
+            assert not _accepts(host, port)
+            assert not [pid for pid in children if _alive(pid)]
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=TIMEOUT_S)
+            process.stdout.close()
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """Fields of ``/proc/<pid>/stat`` after the command name."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid: int) -> list[int]:
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit()
+        and (_proc_stat(int(entry)) or [None, None])[1] == str(pid)
+    ]
+
+
+def _alive(pid: int) -> bool:
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def _accepts(host: str, port: int) -> bool:
+    try:
+        with socket.create_connection((host, port), timeout=1.0):
+            return True
+    except OSError:
+        return False
+
+
 def _free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -153,8 +233,6 @@ def _free_port() -> int:
 
 
 def _wait_for_port(host: str, port: int, timeout_s: float = 30.0) -> None:
-    import time
-
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         try:
